@@ -13,8 +13,9 @@ use crate::fidelity::{FidelityCvObjective, InnerOptimizer};
 use automodel_data::Dataset;
 use automodel_hpo::{
     BatchGate, BayesianOptimization, Budget, CheckpointSink, Clock, Config, GaConfig,
-    GeneticAlgorithm, Hyperband, MonotonicClock, Objective, Optimizer, OptimizerBuilder,
-    SuccessiveHalving, TrialCache, TrialFailure, TrialOutcome, TrialPolicy,
+    GeneticAlgorithm, Hyperband, MonotonicClock, Objective, OptOutcome, Optimizer,
+    OptimizerBuilder, SearchSpace, SuccessiveHalving, TrialCache, TrialFailure, TrialOutcome,
+    TrialPolicy,
 };
 use automodel_ml::{cross_val_accuracy, AlgorithmSpec, Registry};
 use automodel_trace::{TraceEvent, Tracer};
@@ -88,9 +89,13 @@ pub struct UdrConfig {
     pub cv_folds: usize,
     pub seed: u64,
     /// Time source for the evaluation-cost probe. Production uses the real
-    /// [`MonotonicClock`]; tests inject a
+    /// [`MonotonicClock`], which times the paper's probe evaluation. Tests
+    /// and the server inject a
     /// [`ManualClock`](automodel_parallel::ManualClock) so the GA-vs-BO
     /// routing decision is deterministic instead of wall-clock-dependent.
+    /// A clock that does not [advance on its
+    /// own](Clock::advances_on_its_own) reads the probe as zero elapsed,
+    /// so UDR then skips the probe evaluation and routes on zero.
     pub probe_clock: Arc<dyn Clock>,
     /// Structured tracer: stage spans around the probe and the tuning run,
     /// plus the chosen optimizer's full event stream (default: disabled).
@@ -249,7 +254,7 @@ impl UdrConfig {
         if traced {
             self.tracer.emit(TraceEvent::stage_start("udr.probe"));
         }
-        let probe_time = {
+        let probe_time = if self.probe_clock.advances_on_its_own() {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x9A0B);
             let rows = data.sample_rows(self.probe_rows, &mut rng);
             let sample = data.subset(&rows)?;
@@ -261,111 +266,55 @@ impl UdrConfig {
                 seed,
             );
             self.probe_clock.now().saturating_sub(start)
+        } else {
+            // A clock nobody advances reads zero across the probe, so the
+            // evaluation could only be discarded: skip it.
+            Duration::ZERO
         };
         let use_ga = probe_time < self.eval_time_threshold;
+        let technique = if use_ga {
+            "genetic-algorithm"
+        } else {
+            "bayesian-optimization"
+        };
         if traced {
             self.tracer.emit(TraceEvent::stage_end(
                 "udr.probe",
-                format!(
-                    "{algorithm} routed to {}",
-                    if use_ga {
-                        "genetic-algorithm"
-                    } else {
-                        "bayesian-optimization"
-                    }
-                ),
+                format!("{algorithm} routed to {technique}"),
             ));
         }
 
-        let folds = self.cv_folds;
         let mut objective = CvObjective {
             spec: &spec,
             data,
-            folds,
+            folds: self.cv_folds,
             seed,
             last_failure: None,
         };
-
         let policy = self.effective_policy()?;
         if traced {
             self.tracer.emit(TraceEvent::stage_start("udr.tune"));
         }
         let outcome = if use_ga {
-            let mut ga = GeneticAlgorithm::with_config(
+            let ga = GeneticAlgorithm::with_config(
                 seed,
                 GaConfig {
                     population: 12,
                     generations: 1000, // budget-bound, not generation-bound
                     ..GaConfig::default()
                 },
-            )
-            .with_policy(policy)
-            .with_cache(Arc::clone(&self.cache))
-            .with_tracer(Arc::clone(&self.tracer));
-            if let Some(sink) = &self.checkpoint {
-                ga = ga.with_checkpoint(Arc::clone(sink));
-            }
-            if let Some(gate) = &self.gate {
-                ga = ga.with_gate(Arc::clone(gate));
-            }
-            ga.optimize(&space, &mut objective, &self.tuning_budget)
+            );
+            self.wire(ga, policy)
+                .optimize(&space, &mut objective, &self.tuning_budget)
         } else {
-            let mut bo = BayesianOptimization::new(seed)
-                .with_policy(policy)
-                .with_cache(Arc::clone(&self.cache))
-                .with_tracer(Arc::clone(&self.tracer));
-            if let Some(sink) = &self.checkpoint {
-                bo = bo.with_checkpoint(Arc::clone(sink));
-            }
-            if let Some(gate) = &self.gate {
-                bo = bo.with_gate(Arc::clone(gate));
-            }
-            bo.optimize(&space, &mut objective, &self.tuning_budget)
+            self.wire(BayesianOptimization::new(seed), policy).optimize(
+                &space,
+                &mut objective,
+                &self.tuning_budget,
+            )
         };
-        if traced {
-            let detail = match &outcome {
-                Some(o) => format!("{algorithm} tuned over {} trials", o.trials.len()),
-                None => format!("{algorithm} search returned nothing"),
-            };
-            self.tracer.emit(TraceEvent::stage_end("udr.tune", detail));
-        }
-        let Some(outcome) = outcome else {
-            // Degenerate: empty space or zero budget — fall back to defaults.
-            if space.is_empty() {
-                let config = spec.default_config();
-                let score = cross_val_accuracy(|| spec.build(&config, seed), data, folds, seed)?;
-                return Ok(Solution {
-                    algorithm: algorithm.to_string(),
-                    config,
-                    score,
-                    technique: "default".into(),
-                    trials: 1,
-                    quarantined: 0,
-                    cache_hits: 0,
-                    cache_misses: 0,
-                });
-            }
-            // Non-empty space: either no trial ran (zero budget) or every
-            // trial failed — surface the last failure in the latter case.
-            return Err(match objective.last_failure.take() {
-                Some(failure) => CoreError::Trial(failure),
-                None => CoreError::EmptySearch,
-            });
-        };
-        Ok(Solution {
-            algorithm: algorithm.to_string(),
-            config: outcome.best_config,
-            score: outcome.best_score,
-            technique: if use_ga {
-                "genetic-algorithm".into()
-            } else {
-                "bayesian-optimization".into()
-            },
-            trials: outcome.trials.len(),
-            quarantined: outcome.quarantine.len(),
-            cache_hits: outcome.cache.hits,
-            cache_misses: outcome.cache.misses,
-        })
+        let last_failure = objective.last_failure.take();
+        self.finish(&spec, algorithm, data, outcome, technique, last_failure)
     }
 
     /// The `sha`/`hyperband` tuning path: no evaluation-cost probe — the
@@ -376,60 +325,86 @@ impl UdrConfig {
         &self,
         spec: &Arc<dyn AlgorithmSpec>,
         algorithm: &str,
-        space: &automodel_hpo::SearchSpace,
+        space: &SearchSpace,
         data: &Dataset,
     ) -> Result<Solution, CoreError> {
         let seed = self.seed;
-        let folds = self.cv_folds;
-        let mut objective = FidelityCvObjective::new(spec, data, folds, seed);
+        let mut objective = FidelityCvObjective::new(spec, data, self.cv_folds, seed);
         let policy = self.effective_policy()?;
-        let traced = self.tracer.is_enabled();
-        if traced {
+        if self.tracer.is_enabled() {
             self.tracer.emit(TraceEvent::stage_start("udr.tune"));
         }
-        let outcome = match self.optimizer {
-            InnerOptimizer::Sha => {
-                let mut sha = SuccessiveHalving::new(seed)
-                    .with_policy(policy)
-                    .with_cache(Arc::clone(&self.cache))
-                    .with_tracer(Arc::clone(&self.tracer));
-                if let Some(sink) = &self.checkpoint {
-                    sha = sha.with_checkpoint(Arc::clone(sink));
-                }
-                if let Some(gate) = &self.gate {
-                    sha = sha.with_gate(Arc::clone(gate));
-                }
-                sha.optimize_fidelity(space, &mut objective, &self.tuning_budget)
-            }
-            InnerOptimizer::Hyperband => {
-                let mut hb = Hyperband::new(seed)
-                    .with_policy(policy)
-                    .with_cache(Arc::clone(&self.cache))
-                    .with_tracer(Arc::clone(&self.tracer));
-                if let Some(sink) = &self.checkpoint {
-                    hb = hb.with_checkpoint(Arc::clone(sink));
-                }
-                if let Some(gate) = &self.gate {
-                    hb = hb.with_gate(Arc::clone(gate));
-                }
-                hb.optimize_fidelity(space, &mut objective, &self.tuning_budget)
-            }
-            // tune() already dispatched Auto to the probe-routed path.
-            // lint:allow(no-panic-lib): `tune` only dispatches here when optimizer != Auto
-            InnerOptimizer::Auto => unreachable!("auto never reaches tune_multifidelity"),
-        };
-        if traced {
+        let outcome =
+            match self.optimizer {
+                InnerOptimizer::Sha => self
+                    .wire(SuccessiveHalving::new(seed), policy)
+                    .optimize_fidelity(space, &mut objective, &self.tuning_budget),
+                InnerOptimizer::Hyperband => self
+                    .wire(Hyperband::new(seed), policy)
+                    .optimize_fidelity(space, &mut objective, &self.tuning_budget),
+                // tune() already dispatched Auto to the probe-routed path.
+                // lint:allow(no-panic-lib): `tune` only dispatches here when optimizer != Auto
+                InnerOptimizer::Auto => unreachable!("auto never reaches tune_multifidelity"),
+            };
+        let technique = self.optimizer.to_string();
+        let last_failure = objective.last_failure.take();
+        self.finish(spec, algorithm, data, outcome, &technique, last_failure)
+    }
+
+    /// Attach the session-wide hooks every tuning optimizer shares: trial
+    /// policy, trial cache, tracer, and the optional checkpoint sink and
+    /// admission gate.
+    fn wire<B: OptimizerBuilder>(&self, builder: B, policy: TrialPolicy) -> B {
+        let mut builder = builder
+            .with_policy(policy)
+            .with_cache(Arc::clone(&self.cache))
+            .with_tracer(Arc::clone(&self.tracer));
+        if let Some(sink) = &self.checkpoint {
+            builder = builder.with_checkpoint(Arc::clone(sink));
+        }
+        if let Some(gate) = &self.gate {
+            builder = builder.with_gate(Arc::clone(gate));
+        }
+        builder
+    }
+
+    /// Close the `udr.tune` stage and turn the search outcome into the
+    /// [`Solution`] credited to `technique`. A search that returned
+    /// nothing is degenerate: an empty space falls back to the default
+    /// configuration; otherwise either no trial ran (zero budget) or every
+    /// trial failed, and the latter surfaces `last_failure`.
+    fn finish(
+        &self,
+        spec: &Arc<dyn AlgorithmSpec>,
+        algorithm: &str,
+        data: &Dataset,
+        outcome: Option<OptOutcome>,
+        technique: &str,
+        last_failure: Option<TrialFailure>,
+    ) -> Result<Solution, CoreError> {
+        if self.tracer.is_enabled() {
             let detail = match &outcome {
                 Some(o) => format!("{algorithm} tuned over {} trials", o.trials.len()),
                 None => format!("{algorithm} search returned nothing"),
             };
             self.tracer.emit(TraceEvent::stage_end("udr.tune", detail));
         }
-        let Some(outcome) = outcome else {
-            if space.is_empty() {
+        let solution = match outcome {
+            Some(outcome) => Solution {
+                algorithm: algorithm.to_string(),
+                config: outcome.best_config,
+                score: outcome.best_score,
+                technique: technique.to_string(),
+                trials: outcome.trials.len(),
+                quarantined: outcome.quarantine.len(),
+                cache_hits: outcome.cache.hits,
+                cache_misses: outcome.cache.misses,
+            },
+            None if spec.param_space().is_empty() => {
                 let config = spec.default_config();
+                let (seed, folds) = (self.seed, self.cv_folds);
                 let score = cross_val_accuracy(|| spec.build(&config, seed), data, folds, seed)?;
-                return Ok(Solution {
+                Solution {
                     algorithm: algorithm.to_string(),
                     config,
                     score,
@@ -438,23 +413,11 @@ impl UdrConfig {
                     quarantined: 0,
                     cache_hits: 0,
                     cache_misses: 0,
-                });
+                }
             }
-            return Err(match objective.last_failure.take() {
-                Some(failure) => CoreError::Trial(failure),
-                None => CoreError::EmptySearch,
-            });
+            None => return Err(last_failure.map_or(CoreError::EmptySearch, CoreError::Trial)),
         };
-        Ok(Solution {
-            algorithm: algorithm.to_string(),
-            config: outcome.best_config,
-            score: outcome.best_score,
-            technique: self.optimizer.to_string(),
-            trials: outcome.trials.len(),
-            quarantined: outcome.quarantine.len(),
-            cache_hits: outcome.cache.hits,
-            cache_misses: outcome.cache.misses,
-        })
+        Ok(solution)
     }
 }
 
@@ -464,6 +427,7 @@ mod tests {
     use crate::dmd::{DmdConfig, DmdInput};
     use automodel_data::{SynthFamily, SynthSpec};
     use automodel_knowledge::CorpusSpec;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn dmd() -> Dmd {
         let corpus = CorpusSpec::small().build();
@@ -562,6 +526,123 @@ mod tests {
         assert_eq!(a.config, b.config);
         assert_eq!(a.score.to_bits(), b.score.to_bits());
         assert_eq!(a.trials, 69);
+    }
+
+    /// Run `run` once with the served shape — a `ManualClock` probe — and
+    /// once with a real clock whose threshold no probe can reach, which
+    /// routes to the GA whatever the probe measures. Both must give the
+    /// same solution and the same trace bytes (the default tracer stamps
+    /// zero), so skipping the untimeable probe changes no answer.
+    fn assert_probe_skip_is_invisible(run: impl Fn(&UdrConfig) -> Solution) {
+        let traced = |clock: Arc<dyn Clock>, threshold: Duration| {
+            let (tracer, trace) = Tracer::in_memory();
+            let mut udr = UdrConfig::fast()
+                .with_tracer(Arc::new(tracer))
+                .with_cache(Arc::new(TrialCache::default()));
+            udr.tuning_budget = Budget::evals(8);
+            udr.probe_clock = clock;
+            udr.eval_time_threshold = threshold;
+            let solution = run(&udr);
+            (solution, trace.contents())
+        };
+        let (skipped, skipped_trace) = traced(
+            Arc::new(automodel_hpo::ManualClock::new()),
+            UdrConfig::fast().eval_time_threshold,
+        );
+        let (timed, timed_trace) = traced(Arc::new(MonotonicClock::new()), Duration::MAX);
+        assert_eq!(skipped.algorithm, timed.algorithm);
+        assert_eq!(skipped.config, timed.config);
+        assert_eq!(skipped.score.to_bits(), timed.score.to_bits());
+        assert_eq!(skipped.technique, "genetic-algorithm");
+        assert_eq!(skipped.technique, timed.technique);
+        assert_eq!(skipped.trials, timed.trials);
+        assert_eq!(skipped.quarantined, timed.quarantined);
+        assert!(skipped_trace.contains("\"stage\":\"udr.probe\""));
+        assert_eq!(skipped_trace, timed_trace);
+    }
+
+    #[test]
+    fn skipped_probe_gives_the_timed_probe_answer() {
+        let registry = automodel_ml::Registry::full();
+        let data = SynthSpec::new("eq", 90, 3, 1, 2, SynthFamily::Hyperplane, 31).generate();
+        for algorithm in ["IBk", "RandomForest"] {
+            assert_probe_skip_is_invisible(|udr| udr.tune(&registry, algorithm, &data).unwrap());
+        }
+        let dmd = dmd();
+        let data = SynthSpec::new(
+            "eq-dmd",
+            100,
+            4,
+            0,
+            3,
+            SynthFamily::GaussianBlobs { spread: 1.5 },
+            32,
+        )
+        .generate();
+        assert_probe_skip_is_invisible(|udr| udr.solve(&dmd, &data).unwrap());
+    }
+
+    /// Delegates to a real spec and counts the classifiers it builds.
+    struct CountingSpec {
+        inner: Arc<dyn AlgorithmSpec>,
+        builds: AtomicUsize,
+    }
+
+    impl AlgorithmSpec for CountingSpec {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn family(&self) -> automodel_ml::Family {
+            self.inner.family()
+        }
+        fn param_space(&self) -> SearchSpace {
+            self.inner.param_space()
+        }
+        fn default_config(&self) -> Config {
+            self.inner.default_config()
+        }
+        fn check_applicable(&self, data: &Dataset) -> Result<(), automodel_ml::MlError> {
+            self.inner.check_applicable(data)
+        }
+        fn build(&self, config: &Config, seed: u64) -> Box<dyn automodel_ml::Classifier> {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            self.inner.build(config, seed)
+        }
+    }
+
+    #[test]
+    fn warm_tune_with_an_untimeable_probe_builds_nothing() {
+        let counting = Arc::new(CountingSpec {
+            inner: Arc::clone(
+                automodel_ml::Registry::full()
+                    .require("RandomForest")
+                    .unwrap(),
+            ),
+            builds: Default::default(),
+        });
+        let mut registry = automodel_ml::Registry::new();
+        registry.register(Arc::clone(&counting) as Arc<dyn AlgorithmSpec>);
+        let data = SynthSpec::new("warm", 80, 3, 0, 2, SynthFamily::Hyperplane, 33).generate();
+        let mut udr = UdrConfig::fast().with_cache(Arc::new(TrialCache::default()));
+        udr.tuning_budget = Budget::evals(6);
+        udr.eval_time_threshold = Duration::MAX;
+        let builds = |udr: &UdrConfig| {
+            counting.builds.swap(0, Ordering::Relaxed);
+            let solution = udr.tune(&registry, "RandomForest", &data).unwrap();
+            assert_eq!(solution.technique, "genetic-algorithm");
+            counting.builds.swap(0, Ordering::Relaxed)
+        };
+
+        // Cold, with a real clock: the probe plus every trial's folds.
+        let cold = builds(&udr);
+        // Warm, with a real clock: every trial is a cache hit, and only
+        // the paper's timed probe builds (one classifier per fold).
+        let warm_timed = builds(&udr);
+        assert_eq!(warm_timed, udr.cv_folds.min(3));
+        assert!(cold > warm_timed, "cold {cold} vs warm {warm_timed}");
+        // Warm, with a clock nobody advances: the probe is skipped too.
+        udr.probe_clock = Arc::new(automodel_hpo::ManualClock::new());
+        assert_eq!(builds(&udr), 0);
     }
 
     #[test]

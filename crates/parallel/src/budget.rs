@@ -1,6 +1,6 @@
 //! Thread-safe budget state shared by all workers of a batch.
 
-use crate::clock::Clock;
+use crate::Clock;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -144,7 +144,7 @@ impl SharedBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
+    use crate::ManualClock;
 
     fn on_manual(spec: BudgetSpec) -> (Arc<ManualClock>, SharedBudget) {
         let clock = Arc::new(ManualClock::new());

@@ -167,8 +167,8 @@ impl Drop for StopOnPanic<'_> {
 mod tests {
     use super::*;
     use crate::budget::BudgetSpec;
-    use crate::clock::ManualClock;
     use crate::seed::seed_stream;
+    use crate::ManualClock;
     use std::sync::Arc;
     use std::time::Duration;
 

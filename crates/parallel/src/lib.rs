@@ -41,7 +41,6 @@
 
 mod budget;
 pub mod cache;
-mod clock;
 pub mod env;
 mod executor;
 pub mod fault;
@@ -49,7 +48,6 @@ mod seed;
 
 pub use budget::{BudgetSpec, SharedBudget};
 pub use cache::{CacheSnapshot, CacheStats, CachedTrial, TrialCache};
-pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use env::{threads_from_env, validate_env};
 pub use executor::Executor;
 pub use fault::{
@@ -57,3 +55,8 @@ pub use fault::{
     TrialReport,
 };
 pub use seed::seed_stream;
+
+// The canonical clock types live in `automodel-trace`, so budgets and trace
+// timestamps share one clock (a budget test's `ManualClock` is the same
+// object stamping the trace).
+pub use automodel_trace::{Clock, ManualClock, MonotonicClock};

@@ -14,7 +14,10 @@
 //! and regardless of executor width. Three design rules carry it:
 //!
 //! 1. The probe clock is pinned to a [`ManualClock`], so the `auto`
-//!    GA-vs-BO routing cannot flip under load.
+//!    GA-vs-BO routing cannot flip under load: the probe reads zero and
+//!    every `auto` session routes to the GA. Since a clock nobody
+//!    advances cannot time anything, UDR skips the probe's evaluation
+//!    outright; the `udr.probe` stage events stay in the history.
 //! 2. The batch gate is timing-only (see
 //!    [`BatchGate`](automodel_hpo::BatchGate)): it reorders wall-clock
 //!    interleavings, never trial content.
@@ -241,7 +244,8 @@ impl Server {
         udr.tuning_budget = Budget::evals(request.budget);
         // Pin the probe clock: probe timing is wall-clock-dependent, and
         // a load-dependent GA-vs-BO flip would break session identity.
-        // At time zero the probe is "fast", so `auto` routes to the GA.
+        // A clock pinned at time zero reads the probe as "fast", so `auto`
+        // routes to the GA, and UDR skips the evaluation it cannot time.
         udr.probe_clock = Arc::new(ManualClock::new());
 
         if let Some(sink) = self.recovery(request, &cache)? {
@@ -336,12 +340,11 @@ impl Server {
 /// identical work under different ids is the warm-replay case.
 fn context_key(request: &SessionRequest) -> String {
     let dataset = match &request.dataset {
-        // Hash inline CSV text instead of embedding it (it can be large);
-        // FNV-1a over the bytes plus the length is collision-safe enough
-        // for a correctness boundary that only risks extra cache misses…
-        // except it is a *sharing* boundary, so the length is included to
-        // cheaply harden it further.
-        DatasetSpec::Csv(text) => format!("csv:{:016x}:{}", fnv1a(text.as_bytes()), text.len()),
+        // The key is a *sharing* boundary, so inline CSV is keyed by its
+        // full text, not a hash a client could collide. A request line is
+        // capped at `MAX_LINE_BYTES` and the server keeps at most
+        // `MAX_CACHE_CONTEXTS` keys, which bounds the memory this costs.
+        DatasetSpec::Csv(text) => format!("csv:{text}"),
         DatasetSpec::Synth(spec) => format!("synth:{spec:?}"),
     };
     format!(
@@ -352,15 +355,6 @@ fn context_key(request: &SessionRequest) -> String {
         request.folds,
         request.faults,
     )
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Drop provenance-only events from a session trace, keeping the byte

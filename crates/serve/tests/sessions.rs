@@ -6,26 +6,30 @@
 
 use std::sync::{Arc, OnceLock};
 
-use automodel_core::{DmdConfig, DmdInput};
+use automodel_core::{Dmd, DmdConfig, DmdInput};
 use automodel_knowledge::CorpusSpec;
 use automodel_parallel::TrialCache;
 use automodel_serve::{Server, ServerConfig};
 
+static DMD: OnceLock<Dmd> = OnceLock::new();
 static SERVER: OnceLock<Arc<Server>> = OnceLock::new();
+
+/// A server with no sessions run yet, around the file's one demo DMD.
+fn fresh_server() -> Server {
+    let dmd = DMD.get_or_init(|| {
+        let corpus = CorpusSpec::small().build();
+        let input = DmdInput::synthetic_from_corpus(&corpus, 60, 5);
+        DmdConfig::fast().run(&input).expect("demo DMD")
+    });
+    let snapshot = TrialCache::new(1).snapshot();
+    Server::new(dmd.clone(), &snapshot, ServerConfig::default())
+}
 
 /// One shared server for the whole file: sessions sharing one cache is
 /// the production shape, and the determinism assertions below must hold
 /// through that sharing.
 fn server() -> Arc<Server> {
-    SERVER
-        .get_or_init(|| {
-            let corpus = CorpusSpec::small().build();
-            let input = DmdInput::synthetic_from_corpus(&corpus, 60, 5);
-            let dmd = DmdConfig::fast().run(&input).expect("demo DMD");
-            let snapshot = TrialCache::new(1).snapshot();
-            Arc::new(Server::new(dmd, &snapshot, ServerConfig::default()))
-        })
-        .clone()
+    SERVER.get_or_init(|| Arc::new(fresh_server())).clone()
 }
 
 fn request(id: &str, seed: u64, extra: &str) -> String {
@@ -148,4 +152,54 @@ fn malformed_lines_answer_with_typed_errors() {
         let error = result.outcome.expect_err("malformed line rejected");
         assert_eq!(error.kind.wire(), kind, "line: {line}");
     }
+}
+
+/// An inline-CSV IBk request; `csv` is raw CSV text.
+fn csv_request(id: &str, csv: &str) -> String {
+    format!(
+        concat!(
+            "{{\"id\":\"{}\",\"seed\":3,\"budget\":6,\"folds\":3,",
+            "\"algorithm\":\"IBk\",\"dataset\":{{\"csv\":\"{}\"}}}}"
+        ),
+        id,
+        csv.replace('\n', "\\n")
+    )
+}
+
+#[test]
+fn csv_sessions_share_a_pool_only_with_identical_text() {
+    let mut csv = String::from("num:a,num:b,class:y\n");
+    for i in 0..48u32 {
+        let label = if (i * 7 + 3) % 10 < 5 { 'p' } else { 'q' };
+        csv.push_str(&format!(
+            "{}.{},{}.{},{label}\n",
+            i % 10,
+            i % 7,
+            i % 9,
+            i % 4
+        ));
+    }
+    // Same length, different content: one label flipped.
+    let flipped = csv.replacen(",p\n", ",q\n", 1);
+    assert_eq!(csv.len(), flipped.len());
+    assert_ne!(csv, flipped);
+
+    let server = fresh_server();
+    let solve = |id: &str, text: &str| {
+        server
+            .handle_line(&csv_request(id, text))
+            .outcome
+            .expect("csv session solves")
+    };
+    let first = solve("csv-a", &csv);
+    assert_eq!((first.cache_hits, server.cache_contexts()), (0, 1));
+    // Equal-length but different text: its own pool, so nothing the
+    // first session cached can answer it.
+    let other = solve("csv-b", &flipped);
+    assert_eq!((other.cache_hits, server.cache_contexts()), (0, 2));
+    // Identical text under another id: the first session's pool.
+    let again = solve("csv-c", &csv);
+    assert_eq!(server.cache_contexts(), 2);
+    assert!(again.cache_hits > 0, "identical CSV missed its pool");
+    assert_eq!(again.history, first.history);
 }

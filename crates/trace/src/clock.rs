@@ -14,6 +14,13 @@ use std::time::{Duration, Instant};
 /// epoch (construction for [`MonotonicClock`], zero for [`ManualClock`]).
 pub trait Clock: Send + Sync {
     fn now(&self) -> Duration;
+
+    /// Does time pass on this clock without anyone advancing it? A clock
+    /// that does not reads exactly zero elapsed across any work that
+    /// never advances it, so a caller may skip work it would only time.
+    fn advances_on_its_own(&self) -> bool {
+        true
+    }
 }
 
 /// Real wall clock backed by [`Instant`].
@@ -64,6 +71,10 @@ impl Clock for ManualClock {
     fn now(&self) -> Duration {
         *self.now.lock()
     }
+
+    fn advances_on_its_own(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
@@ -76,11 +87,13 @@ mod tests {
         let a = c.now();
         let b = c.now();
         assert!(b >= a);
+        assert!(c.advances_on_its_own());
     }
 
     #[test]
     fn manual_clock_only_moves_when_told() {
         let c = ManualClock::new();
+        assert!(!c.advances_on_its_own());
         assert_eq!(c.now(), Duration::ZERO);
         c.advance(Duration::from_secs(3));
         c.advance(Duration::from_millis(500));

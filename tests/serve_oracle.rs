@@ -17,6 +17,12 @@
 //!   budget, and over-ceiling requests are rejected typed.
 //! * **Robustness** — malformed request lines get typed errors and the
 //!   server keeps answering on the same connection.
+//! * **Cross-commit answers** — four fixed `auto` sessions, each on a
+//!   fresh in-process [`Server`], answer byte-for-byte what the
+//!   checked-in golden recorded (regenerate deliberately with
+//!   `AUTOMODEL_REGOLDEN=1`).
+
+mod common;
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -25,6 +31,8 @@ use std::process::{Child, Command, Stdio};
 use std::sync::OnceLock;
 use std::thread;
 
+use auto_model::ml::Registry;
+use auto_model::serve::{Server, ServerConfig};
 use serde_json::Value;
 
 const BIN: &str = env!("CARGO_BIN_EXE_auto-model");
@@ -341,4 +349,57 @@ fn malformed_lines_get_typed_errors_and_the_connection_survives() {
     let mut response = String::new();
     reader.read_line(&mut response).expect("read response");
     expect_ok(response.trim_end());
+}
+
+/// The four sessions the served-history golden pins: a named IBk and a
+/// named RandomForest `auto` session, a DMD-selected one, and an `auto`
+/// session under a per-session fault plan.
+const GOLDEN_REQUESTS: &[&str] = &[
+    concat!(
+        "{\"id\":\"g-ibk\",\"seed\":7,\"budget\":10,\"folds\":3,",
+        "\"algorithm\":\"IBk\",\"dataset\":{\"synth\":{\"rows\":90,",
+        "\"numeric\":3,\"categorical\":1,\"classes\":2,",
+        "\"family\":\"hyperplane\",\"seed\":21}}}"
+    ),
+    concat!(
+        "{\"id\":\"g-rf\",\"seed\":8,\"budget\":6,\"folds\":3,",
+        "\"algorithm\":\"RandomForest\",\"dataset\":{\"synth\":{\"rows\":80,",
+        "\"numeric\":4,\"categorical\":0,\"classes\":3,",
+        "\"family\":\"blobs\",\"seed\":22}}}"
+    ),
+    concat!(
+        "{\"id\":\"g-dmd\",\"seed\":9,\"budget\":8,\"folds\":3,",
+        "\"dataset\":{\"synth\":{\"rows\":100,",
+        "\"numeric\":5,\"categorical\":1,\"classes\":2,",
+        "\"family\":\"hyperplane\",\"seed\":23}}}"
+    ),
+    concat!(
+        "{\"id\":\"g-faults\",\"seed\":10,\"budget\":8,\"folds\":3,",
+        "\"algorithm\":\"IBk\",\"faults\":\"seed=4,nan=0.5\",",
+        "\"dataset\":{\"synth\":{\"rows\":80,",
+        "\"numeric\":3,\"categorical\":1,\"classes\":2,",
+        "\"family\":\"hyperplane\",\"seed\":24}}}"
+    ),
+];
+
+/// Served answers across commits: perfbench only compares answers from
+/// one binary (warm == cold, concurrent == solo), so this pins the
+/// answer lines themselves. Each request runs on a fresh server — no
+/// shared pool can warm it — loaded from the suite's artifact.
+#[test]
+fn auto_session_answers_match_the_golden() {
+    let mut answers = String::new();
+    for line in GOLDEN_REQUESTS {
+        let server = Server::from_artifact(artifact(), Registry::full(), ServerConfig::default())
+            .expect("load the suite artifact");
+        let answer = server.handle_line(line).to_line();
+        expect_ok(&answer);
+        answers.push_str(&answer);
+        answers.push('\n');
+    }
+    common::assert_matches_golden("serve_auto_histories.jsonl", &answers);
+    assert!(
+        !common::regolden(),
+        "golden files regenerated; unset AUTOMODEL_REGOLDEN and re-run"
+    );
 }
