@@ -5,9 +5,10 @@
 //! line-delimited JSONL protocol (TCP or stdin/stdout). Each session
 //! carries its own seed, evaluation budget, fault policy, optimizer
 //! choice and optional checkpoint stream; all sessions share the
-//! loaded DMD, context-keyed read-mostly trial-cache pools (identical
-//! requests warm-replay each other; differing contexts are isolated)
-//! and a fair round-robin batch-admission gate. Plain std threads carry the
+//! loaded DMD, context-keyed read-mostly pools — a trial cache plus the
+//! context's dataset and algorithm selection (identical requests
+//! warm-replay each other; differing contexts are isolated) — and a
+//! fair round-robin batch-admission gate. Plain std threads carry the
 //! transports; trial evaluation stays on the deterministic executor in
 //! `automodel-parallel` — there is no async runtime.
 //!

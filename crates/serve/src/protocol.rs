@@ -96,6 +96,14 @@ impl ProtocolError {
             detail: detail.into(),
         }
     }
+
+    /// The rejection of a `bytes`-long line over [`MAX_LINE_BYTES`].
+    pub fn oversized(bytes: usize) -> ProtocolError {
+        ProtocolError::new(
+            ErrorKind::Oversized,
+            format!("{bytes} bytes exceeds the {MAX_LINE_BYTES}-byte limit"),
+        )
+    }
 }
 
 impl fmt::Display for ProtocolError {
@@ -257,13 +265,7 @@ const SYNTH_FIELDS: &[&str] = &[
 /// ceiling. Every failure is a typed [`ProtocolError`].
 pub fn parse_request(line: &str, max_budget: usize) -> Result<SessionRequest, ProtocolError> {
     if line.len() > MAX_LINE_BYTES {
-        return Err(ProtocolError::new(
-            ErrorKind::Oversized,
-            format!(
-                "{} bytes exceeds the {MAX_LINE_BYTES}-byte limit",
-                line.len()
-            ),
-        ));
+        return Err(ProtocolError::oversized(line.len()));
     }
     let value: Value = serde_json::from_str(line)
         .map_err(|e| ProtocolError::new(ErrorKind::InvalidJson, e.to_string()))?;

@@ -5,7 +5,8 @@
 //! seed, budget, tracer, fault policy and (optionally) checkpoint
 //! stream; all sessions share the read-mostly DMD, the round-robin
 //! batch gate, and — per evaluation context — a pooled [`TrialCache`]
-//! through which identical requests warm-replay each other (see
+//! through which identical requests warm-replay each other, beside the
+//! context's dataset and algorithm selection, computed once (see
 //! [`Server`] for why the pools are context-keyed).
 //!
 //! **Session determinism contract:** the same request (id aside) with
@@ -24,13 +25,18 @@
 //! 3. The history is the session's trace stream with provenance-only
 //!    events ([`PROVENANCE_KINDS`]) filtered out — a shared-cache hit
 //!    replays the identical outcome it memoized, so whether a trial was
-//!    computed or replayed is invisible in the filtered stream.
+//!    computed or replayed is invisible in the filtered stream. A
+//!    history sink on the session tracer keeps the non-provenance lines
+//!    as they are encoded, so nothing is re-parsed. The dataset and the
+//!    DMD selection a warm session reuses from its context pool are
+//!    pure functions of the context key, so reusing them changes no
+//!    byte of the history either.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use automodel_core::{Dmd, DmdArtifact, UdrConfig};
+use automodel_core::{CoreError, Dmd, DmdArtifact, UdrConfig};
 use automodel_data::csv::read_csv;
 use automodel_data::Dataset;
 use automodel_hpo::{BatchGate, Budget, ManualClock};
@@ -39,7 +45,7 @@ use automodel_parallel::{CacheSnapshot, TrialCache};
 use automodel_store::{
     load_latest, Checkpointer, RecoveryError, StoreArtifact, StoreReader, DEFAULT_KEEP,
 };
-use automodel_trace::{parse_line, Tracer};
+use automodel_trace::{parse_line, Sink, TraceError, TraceRecord, Tracer};
 use parking_lot::Mutex;
 
 use crate::gate::RoundRobinGate;
@@ -92,12 +98,26 @@ impl Default for ServerConfig {
     }
 }
 
-/// Most cache-pool contexts a server keeps live; the oldest pool is
-/// evicted past this (FIFO), trading warm replays for bounded memory.
+/// Most contexts a server keeps live; the oldest one — its trial cache,
+/// dataset and selection together — is evicted past this (FIFO),
+/// trading warm replays for bounded memory.
 const MAX_CACHE_CONTEXTS: usize = 64;
 
-/// The long-running service: one loaded DMD, context-keyed shared trial
-/// caches, one batch-gate rotation, many concurrent sessions.
+/// Everything a session derives from its context key alone, computed by
+/// the context's first request and shared by every later one.
+#[derive(Debug)]
+struct Context {
+    cache: Arc<TrialCache>,
+    data: Dataset,
+    /// The requested algorithm, or the DMD's selection on `data` — `Err`
+    /// when nothing is applicable, answered as a `session` error each
+    /// time, exactly as [`UdrConfig::solve`] would.
+    algorithm: Result<String, CoreError>,
+}
+
+/// The long-running service: one loaded DMD, context-keyed pools (trial
+/// cache, dataset, algorithm selection), one batch-gate rotation, many
+/// concurrent sessions.
 ///
 /// **Why the trial cache is keyed by evaluation context.** Cache keys
 /// inside the optimizers are `config @ fidelity` fingerprints — they
@@ -113,11 +133,16 @@ const MAX_CACHE_CONTEXTS: usize = 64;
 /// isolated. The artifact's persisted snapshot is *not* poured into
 /// session pools for the same reason: its entries were measured in the
 /// DMD build context, not in any session's.
+///
+/// The same key fixes the materialized dataset and, for DMD-selected
+/// requests, the selected algorithm, so a pool holds those too: a warm
+/// session neither regenerates its dataset nor reruns the selection.
+/// The [`MAX_CACHE_CONTEXTS`] bound covers all three.
 #[derive(Debug)]
 pub struct Server {
     dmd: Dmd,
     warm: CacheSnapshot,
-    contexts: Mutex<Vec<(String, Arc<TrialCache>)>>,
+    contexts: Mutex<Vec<(String, Arc<Context>)>>,
     gate: Arc<RoundRobinGate>,
     config: ServerConfig,
     tickets: AtomicU64,
@@ -172,20 +197,43 @@ impl Server {
         self.contexts.lock().len()
     }
 
-    /// The shared cache pool for one evaluation context, created on
+    /// The shared pool for one request's evaluation context, created on
     /// first use. Sessions with byte-equal context fingerprints share a
-    /// pool — that is what makes an identical later request warm.
-    fn cache_for(&self, context: &str) -> Arc<TrialCache> {
-        let mut contexts = self.contexts.lock();
-        if let Some((_, cache)) = contexts.iter().find(|(key, _)| key == context) {
-            return Arc::clone(cache);
+    /// pool — that is what makes an identical later request warm. A
+    /// dataset that fails to materialize creates no context.
+    fn context(&self, request: &SessionRequest) -> Result<Arc<Context>, ProtocolError> {
+        let key = context_key(request);
+        let find = |contexts: &[(String, Arc<Context>)]| {
+            contexts
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, context)| Arc::clone(context))
+        };
+        if let Some(context) = find(&self.contexts.lock()) {
+            return Ok(context);
         }
-        let cache = Arc::new(TrialCache::default());
-        contexts.push((context.to_string(), Arc::clone(&cache)));
+        // Built outside the lock so a cold context never stalls the warm
+        // sessions of others; a racing first request of the same context
+        // keeps whichever pool landed first, so both share one cache.
+        let data = self.materialize(&request.dataset)?;
+        let algorithm = match &request.algorithm {
+            Some(name) => Ok(name.clone()),
+            None => self.dmd.select_algorithm(&data),
+        };
+        let built = Arc::new(Context {
+            cache: Arc::new(TrialCache::default()),
+            data,
+            algorithm,
+        });
+        let mut contexts = self.contexts.lock();
+        if let Some(context) = find(&contexts) {
+            return Ok(context);
+        }
+        contexts.push((key, Arc::clone(&built)));
         if contexts.len() > MAX_CACHE_CONTEXTS {
             contexts.remove(0);
         }
-        cache
+        Ok(built)
     }
 
     pub fn max_budget(&self) -> usize {
@@ -206,7 +254,7 @@ impl Server {
     /// contained: they become a typed error response for *this* session
     /// and never touch the shared state other sessions read.
     pub fn run_session(&self, request: &SessionRequest) -> SessionResult {
-        match self.try_session(request) {
+        match self.try_session(request, Tracer::disabled()) {
             Ok(solution) => SessionResult {
                 id: request.id.clone(),
                 outcome: Ok(solution),
@@ -215,11 +263,19 @@ impl Server {
         }
     }
 
-    fn try_session(&self, request: &SessionRequest) -> Result<SessionSolution, ProtocolError> {
-        let data = self.materialize(&request.dataset)?;
-        let cache = self.cache_for(&context_key(request));
+    /// Run one session on `tracer` plus the session's own sinks: the
+    /// history sink and, with a `trace_dir`, the per-session JSONL file.
+    /// The server passes a disabled tracer; the sink oracle test passes
+    /// an in-memory one to see every event beside the history.
+    fn try_session(
+        &self,
+        request: &SessionRequest,
+        tracer: Tracer,
+    ) -> Result<SessionSolution, ProtocolError> {
+        let context = self.context(request)?;
 
-        let (tracer, history) = Tracer::in_memory();
+        let (sink, history) = HistorySink::new();
+        let tracer = tracer.with_sink(Box::new(sink));
         let tracer = match &self.config.trace_dir {
             Some(dir) => {
                 let path = dir.join(format!("{}.jsonl", request.id));
@@ -237,7 +293,7 @@ impl Server {
         let mut udr = UdrConfig::fast()
             .with_optimizer(request.optimizer)
             .with_tracer(Arc::clone(&tracer))
-            .with_cache(Arc::clone(&cache))
+            .with_cache(Arc::clone(&context.cache))
             .with_policy(request.policy());
         udr.seed = request.seed;
         udr.cv_folds = request.folds;
@@ -248,16 +304,19 @@ impl Server {
         // routes to the GA, and UDR skips the evaluation it cannot time.
         udr.probe_clock = Arc::new(ManualClock::new());
 
-        if let Some(sink) = self.recovery(request, &cache)? {
+        if let Some(sink) = self.recovery(request, &context.cache)? {
             udr = udr.with_checkpoint(sink);
         }
 
         let ticket = Arc::new(self.gate.join(self.tickets.fetch_add(1, Ordering::Relaxed)));
         udr = udr.with_gate(Arc::clone(&ticket) as Arc<dyn BatchGate>);
 
-        let solved = match &request.algorithm {
-            Some(algorithm) => udr.tune(&self.dmd.registry, algorithm, &data),
-            None => udr.solve(&self.dmd, &data),
+        // What `UdrConfig::solve` does, with the selection memoized in
+        // the context (selection emits no trace events, so the history
+        // is unchanged).
+        let solved = match &context.algorithm {
+            Ok(algorithm) => udr.tune(&self.dmd.registry, algorithm, &context.data),
+            Err(e) => Err(e.clone()),
         };
         // Leave the rotation *before* assembling the response: a
         // finished session must stop consuming admission turns the
@@ -270,6 +329,7 @@ impl Server {
         let (cache_hits, cache_misses, warm_hits) = summary
             .map(|s| (s.cache_hits, s.cache_misses, s.warm_hits))
             .unwrap_or((0, 0, 0));
+        let history = std::mem::take(&mut *history.lock());
 
         Ok(SessionSolution {
             algorithm: solution.algorithm,
@@ -281,7 +341,7 @@ impl Server {
             cache_hits,
             cache_misses,
             warm_hits,
-            history: filter_history(&history.contents()),
+            history,
         })
     }
 
@@ -357,9 +417,40 @@ fn context_key(request: &SessionRequest) -> String {
     )
 }
 
+/// The session tracer's history sink: keeps each encoded line whose
+/// event kind is not in [`PROVENANCE_KINDS`], in emission order — the
+/// same lines [`filter_history`] would keep from the full trace.
+struct HistorySink {
+    lines: Arc<Mutex<Vec<String>>>,
+}
+
+impl HistorySink {
+    /// The sink and the handle its kept lines are read back through.
+    fn new() -> (HistorySink, Arc<Mutex<Vec<String>>>) {
+        let lines = Arc::new(Mutex::new(Vec::new()));
+        (
+            HistorySink {
+                lines: Arc::clone(&lines),
+            },
+            lines,
+        )
+    }
+}
+
+impl Sink for HistorySink {
+    fn record(&mut self, record: &TraceRecord, line: &str) -> Result<(), TraceError> {
+        if !PROVENANCE_KINDS.contains(&record.event.kind()) {
+            self.lines.lock().push(line.to_string());
+        }
+        Ok(())
+    }
+}
+
 /// Drop provenance-only events from a session trace, keeping the byte
 /// string the determinism contract is stated over. Lines the codec
 /// cannot parse are kept — an undecodable line is evidence, not noise.
+/// A served session gets the same lines from its history sink without
+/// this re-parse; this is the offline form over a recorded trace.
 pub fn filter_history(raw: &str) -> Vec<String> {
     raw.lines()
         .filter(|line| match parse_line(line) {
@@ -368,4 +459,107 @@ pub fn filter_history(raw: &str) -> Vec<String> {
         })
         .map(str::to_string)
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+    use std::sync::OnceLock;
+
+    use automodel_core::{DmdConfig, DmdInput};
+    use automodel_knowledge::CorpusSpec;
+    use automodel_trace::decode;
+
+    use super::*;
+    use crate::protocol::parse_request;
+
+    fn server(checkpoint_dir: Option<PathBuf>) -> Server {
+        static DMD: OnceLock<Dmd> = OnceLock::new();
+        let dmd = DMD.get_or_init(|| {
+            let corpus = CorpusSpec::small().build();
+            let input = DmdInput::synthetic_from_corpus(&corpus, 60, 5);
+            DmdConfig::fast().run(&input).expect("demo DMD")
+        });
+        let config = ServerConfig {
+            checkpoint_dir,
+            ..ServerConfig::default()
+        };
+        Server::new(dmd.clone(), &TrialCache::new(1).snapshot(), config)
+    }
+
+    fn request(id: &str, extra: &str) -> String {
+        format!(
+            concat!(
+                "{{\"id\":\"{}\",\"seed\":4,\"budget\":8,\"folds\":3,{}",
+                "\"dataset\":{{\"synth\":{{\"rows\":80,\"numeric\":3,",
+                "\"categorical\":1,\"classes\":2,\"family\":\"hyperplane\",",
+                "\"seed\":11}}}}}}"
+            ),
+            id, extra
+        )
+    }
+
+    /// Run one session with an in-memory tracer beside the history sink,
+    /// check the sink kept exactly what [`filter_history`] keeps from the
+    /// full trace, and return the kinds the full trace carried.
+    fn sink_matches_filter(server: &Server, line: &str) -> BTreeSet<String> {
+        let request = parse_request(line, 512).expect("valid request");
+        let (full, handle) = Tracer::in_memory();
+        let solution = server.try_session(&request, full).expect("session solves");
+        let trace = handle.contents();
+        assert!(!solution.history.is_empty(), "empty history for {line}");
+        assert_eq!(solution.history, filter_history(&trace), "{line}");
+        decode(&trace)
+            .expect("trace decodes")
+            .iter()
+            .map(|record| record.event.kind().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn history_sink_keeps_what_the_filter_keeps() {
+        let dir = std::env::temp_dir().join(format!("automodel-serve-sink-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create checkpoint dir");
+
+        let mut kinds = BTreeSet::new();
+        let warm = server(Some(dir.clone()));
+        for line in [
+            request("named", "\"algorithm\":\"IBk\","),
+            request("named-warm", "\"algorithm\":\"IBk\","),
+            request("selected", ""),
+            request("sha", "\"algorithm\":\"IBk\",\"optimizer\":\"sha\","),
+            request(
+                "faulty",
+                "\"algorithm\":\"IBk\",\"faults\":\"seed=5,panic=0.3,nan=0.3\",",
+            ),
+            request("ckpt", "\"algorithm\":\"IBk\",\"checkpoint\":true,"),
+        ] {
+            kinds.extend(sink_matches_filter(&warm, &line));
+        }
+        // A fresh server resumes the checkpointed run: its pool starts
+        // cold, so the restored entries replay as warm hits.
+        let resumed = server(Some(dir.clone()));
+        kinds.extend(sink_matches_filter(
+            &resumed,
+            &request(
+                "ckpt",
+                "\"algorithm\":\"IBk\",\"checkpoint\":true,\"resume\":true,",
+            ),
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Every provenance kind a session can emit went through the sink
+        // (`recovery` and `artifact_load` come only from the CLI).
+        for kind in [
+            "cache_hit",
+            "cache_miss",
+            "warm_hit",
+            "checkpoint",
+            "fault",
+            "retry",
+        ] {
+            assert!(kinds.contains(kind), "no `{kind}` event in {kinds:?}");
+        }
+    }
 }

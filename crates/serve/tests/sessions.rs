@@ -203,3 +203,53 @@ fn csv_sessions_share_a_pool_only_with_identical_text() {
     assert!(again.cache_hits > 0, "identical CSV missed its pool");
     assert_eq!(again.history, first.history);
 }
+
+#[test]
+fn identical_requests_share_one_context() {
+    let server = fresh_server();
+    let first = server.handle_line(&request("ctx-a", 9, ""));
+    let second = server.handle_line(&request("ctx-b", 9, ""));
+    assert_eq!(server.cache_contexts(), 1);
+    let (first, second) = (
+        first.outcome.expect("solves"),
+        second.outcome.expect("solves"),
+    );
+    assert_eq!(first.history, second.history);
+}
+
+#[test]
+fn named_and_selected_requests_on_one_dataset_are_two_contexts() {
+    let server = fresh_server();
+    let named = request("ctx-named", 9, "");
+    let selected = named.replacen("\"algorithm\":\"IBk\",", "", 1);
+    assert_ne!(named, selected);
+    for line in [&named, &selected, &selected] {
+        server.handle_line(line).outcome.expect("session solves");
+    }
+    assert_eq!(server.cache_contexts(), 2);
+}
+
+#[test]
+fn a_bad_dataset_answers_typed_every_time_and_creates_no_context() {
+    let server = fresh_server();
+    for id in ["bad-a", "bad-b", "bad-a"] {
+        let error = server
+            .handle_line(&csv_request(id, "num:a,class:y\nnot-a-number,p\n"))
+            .outcome
+            .expect_err("unparseable CSV rejected");
+        assert_eq!(error.kind.wire(), "dataset");
+    }
+    assert_eq!(server.cache_contexts(), 0);
+}
+
+#[test]
+fn an_inapplicable_algorithm_answers_the_same_error_cold_and_warm() {
+    let server = fresh_server();
+    // Id3 is nominal-only; the dataset has numeric attributes.
+    let line = request("id3", 9, "").replacen("\"IBk\"", "\"Id3\"", 1);
+    let cold = server.handle_line(&line).to_line();
+    let warm = server.handle_line(&line).to_line();
+    assert!(cold.contains("\"session\""), "cold answer: {cold}");
+    assert_eq!(cold, warm);
+    assert_eq!(server.cache_contexts(), 1);
+}

@@ -182,21 +182,21 @@ impl Tracer {
         (Tracer::enabled_with(vec![Box::new(sink)]), handle)
     }
 
-    /// Add an appending JSONL sink at an explicit path, enabling the
-    /// tracer if it was disabled — the server keys one trace file per
-    /// session this way. Returns `None` when the path cannot be opened
-    /// for appending (callers surface that, same as [`Tracer::from_env`]).
+    /// Add a sink, enabling the tracer if it was disabled.
+    pub fn with_sink(self, sink: Box<dyn Sink>) -> Tracer {
+        match &self.state {
+            Some(state) => state.lock().sinks.push(sink),
+            None => return Tracer::enabled_with(vec![sink]),
+        }
+        self
+    }
+
+    /// Add an appending JSONL sink at an explicit path — the server keys
+    /// one trace file per session this way. Returns `None` when the path
+    /// cannot be opened for appending (callers surface that, same as
+    /// [`Tracer::from_env`]).
     pub fn with_jsonl(self, path: &Path) -> Option<Tracer> {
-        let sink: Box<dyn Sink> = Box::new(JsonlSink::open(path)?);
-        Some(match self.state {
-            Some(state) => {
-                {
-                    state.lock().sinks.push(sink);
-                }
-                Tracer { state: Some(state) }
-            }
-            None => Tracer::enabled_with(vec![sink]),
-        })
+        Some(self.with_sink(Box::new(JsonlSink::open(path)?)))
     }
 
     /// Replace the timestamp source (no-op on a disabled tracer). The
@@ -209,20 +209,11 @@ impl Tracer {
         self
     }
 
-    /// Add a human stderr progress sink, enabling the tracer if it was
-    /// disabled — bench binaries call this so stage narration and the
-    /// summary exist even without `AUTOMODEL_TRACE`.
+    /// Add a human stderr progress sink — bench binaries call this so
+    /// stage narration and the summary exist even without
+    /// `AUTOMODEL_TRACE`.
     pub fn with_progress(self, prefix: &str) -> Tracer {
-        let sink: Box<dyn Sink> = Box::new(ProgressSink::new(prefix));
-        match self.state {
-            Some(state) => {
-                {
-                    state.lock().sinks.push(sink);
-                }
-                Tracer { state: Some(state) }
-            }
-            None => Tracer::enabled_with(vec![sink]),
-        }
+        self.with_sink(Box::new(ProgressSink::new(prefix)))
     }
 
     pub fn is_enabled(&self) -> bool {
@@ -335,6 +326,18 @@ mod tests {
         let records = decode(&handle.contents()).expect("trace decodes");
         assert_eq!(records[0].t_us, 0);
         assert_eq!(records[1].t_us, 250);
+    }
+
+    #[test]
+    fn with_sink_enables_and_fans_out_to_every_sink() {
+        let (extra, extra_handle) = memory_pair();
+        let t = Tracer::disabled().with_sink(Box::new(extra));
+        assert!(t.is_enabled());
+        let (inner, inner_handle) = memory_pair();
+        let t = t.with_sink(Box::new(inner));
+        t.emit(TraceEvent::CacheHit { trial: 3 });
+        assert!(!extra_handle.contents().is_empty());
+        assert_eq!(extra_handle.contents(), inner_handle.contents());
     }
 
     #[test]

@@ -186,6 +186,14 @@ echo "==> session-oracle conformance suite (spawned server, real protocol)"
 # session resume.
 cargo test -q --test serve_oracle
 
+echo "==> served-answer golden at 1 and 8 executor threads"
+# The golden sessions run on in-process servers, so AUTOMODEL_THREADS
+# sets their executor width: the answer bytes must not depend on it.
+for threads in 1 8; do
+    AUTOMODEL_THREADS=$threads cargo test -q --test serve_oracle -- \
+        --exact auto_session_answers_match_the_golden
+done
+
 echo "==> serve throughput gate (exp_serve, warm/cold floor 2x)"
 # The binary asserts warm sessions byte-identical to cold and that warm
 # sessions actually consume the shared context pools; the floor check

@@ -351,6 +351,42 @@ fn malformed_lines_get_typed_errors_and_the_connection_survives() {
     expect_ok(response.trim_end());
 }
 
+/// Hostile framing on one connection: a 1 MiB line, then a line that
+/// is not UTF-8, then a valid request. Each gets exactly one typed
+/// answer, and the connection keeps serving.
+#[test]
+fn oversized_and_non_utf8_lines_get_one_typed_answer_each() {
+    let server = spawn_server("1", &[]);
+    let stream = TcpStream::connect(&server.addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut input = vec![b'x'; 1 << 20];
+    input.push(b'\n');
+    input.extend_from_slice(b"{\"id\":\"\xff\xfe\"}\n");
+    input.extend_from_slice(format!("{}\n", request("after", 3, 4, "")).as_bytes());
+    writer.write_all(&input).expect("send lines");
+    writer.flush().expect("flush lines");
+    writer
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+
+    let mut answer = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read response");
+        line
+    };
+    for (kind, detail) in [("oversized", "1048576 bytes"), ("invalid-json", "UTF-8")] {
+        let value = parse(answer().trim_end());
+        assert!(matches!(value.get("ok"), Some(Value::Bool(false))));
+        let error = value.get("error").expect("typed error");
+        assert_eq!(error.get("kind").and_then(|k| k.as_str()), Some(kind));
+        let text = error.get("detail").and_then(|d| d.as_str()).unwrap_or("");
+        assert!(text.contains(detail), "{kind} detail: {text}");
+    }
+    expect_ok(answer().trim_end());
+    assert_eq!(answer(), "", "more answers than request lines");
+}
+
 /// The four sessions the served-history golden pins: a named IBk and a
 /// named RandomForest `auto` session, a DMD-selected one, and an `auto`
 /// session under a per-session fault plan.
